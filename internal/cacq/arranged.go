@@ -16,10 +16,10 @@ type ArrangedConfig struct {
 	Provider func(stream string, keyCol int, kind window.TimeKind) *arrange.Arrangement
 	// ReuseSlots reallocates the lineage-slot IDs of removed queries
 	// (after scrubbing their bits from stored state) so bitmaps stay
-	// dense under churn. Only sound on a sequential engine: its step is
+	// dense under churn. Meant for a sequential engine: its step is
 	// fully synchronous, so no in-flight tuple can carry a freed slot's
-	// bit. Parallel engines force it off — merged outputs keep flowing
-	// through a barrier, and monotone IDs keep front/shard lockstep.
+	// bit. Parallel engines force it off, so monotone IDs keep the front
+	// and shard engines in lockstep.
 	ReuseSlots bool
 }
 

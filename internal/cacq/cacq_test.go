@@ -279,3 +279,129 @@ func TestNewRejectsOversizedLayout(t *testing.T) {
 		t.Fatalf("error %q does not mention the 64-module cap", err)
 	}
 }
+
+// collect returns an Output that records every delivered pointer.
+func collect(dst *[]*tuple.Tuple) func(*tuple.Tuple) {
+	return func(tp *tuple.Tuple) { *dst = append(*dst, tp) }
+}
+
+// TestSharedProjectionPointers: members with equal projections receive
+// the identical result tuple, members with a different projection get
+// their own, and members without a projection get the wide tuple.
+func TestSharedProjectionPointers(t *testing.T) {
+	e, _ := New(stockLayout(), nil, nil)
+	var a, b, c, wide []*tuple.Tuple
+	sel := []expr.Predicate{{Col: 1, Op: expr.Ge, Val: tuple.Int(10)}}
+	for _, m := range []struct {
+		proj []int
+		out  *[]*tuple.Tuple
+	}{{[]int{1}, &a}, {[]int{1}, &b}, {[]int{1, 0}, &c}, {nil, &wide}} {
+		if _, err := e.AddQuery(tuple.SingleSource(0), sel, m.proj, collect(m.out)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(e.shapes) != 2 {
+		t.Fatalf("%d canonical projections for column lists [1] [1] [1 0], want 2", len(e.shapes))
+	}
+	for i := int64(0); i < 20; i++ {
+		e.Ingest(0, mk(i%3, i))
+	}
+	if len(a) != 10 || len(b) != 10 || len(c) != 10 || len(wide) != 10 {
+		t.Fatalf("delivered %d/%d/%d/%d, want 10 each", len(a), len(b), len(c), len(wide))
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			t.Errorf("result %d: equal projections delivered distinct tuples", i)
+		}
+		if a[i] == c[i] || a[i] == wide[i] || c[i] == wide[i] {
+			t.Errorf("result %d: different projections share a tuple", i)
+		}
+		if got := a[i].Vals[0].AsInt(); got != int64(10+i) || len(a[i].Vals) != 1 {
+			t.Errorf("result %d: projected %v, want [%d]", i, a[i].Vals, 10+i)
+		}
+		if got := c[i].Vals; len(got) != 2 || got[0].AsInt() != int64(10+i) || got[1].AsInt() != int64((10+i)%3) {
+			t.Errorf("result %d: projected %v, want [%d %d]", i, got, 10+i, (10+i)%3)
+		}
+	}
+	if len(e.memoed) != 0 {
+		t.Errorf("%d projection memos outlive their completion", len(e.memoed))
+	}
+}
+
+// TestSharedProjectionRemoveMember: removing one of two members with the
+// same projection leaves the survivor's delivered and future results
+// intact, and the last member's removal drops the canonical projection.
+func TestSharedProjectionRemoveMember(t *testing.T) {
+	e, _ := New(stockLayout(), nil, nil)
+	var a, b []*tuple.Tuple
+	qa, err := e.AddQuery(tuple.SingleSource(0), nil, []int{1}, collect(&a))
+	if err != nil {
+		t.Fatal(err)
+	}
+	qb, err := e.AddQuery(tuple.SingleSource(0), nil, []int{1}, collect(&b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := int64(0); i < 5; i++ {
+		e.Ingest(0, mk(0, i))
+	}
+	if err := e.RemoveQuery(qa.ID); err != nil {
+		t.Fatal(err)
+	}
+	for i := int64(5); i < 10; i++ {
+		e.Ingest(0, mk(0, i))
+	}
+	if len(a) != 5 || len(b) != 10 {
+		t.Fatalf("delivered %d and %d, want 5 and 10", len(a), len(b))
+	}
+	for i, tp := range b {
+		if tp.Vals[0].AsInt() != int64(i) {
+			t.Errorf("survivor result %d = %v", i, tp.Vals)
+		}
+		if i < len(a) && (a[i] != tp || a[i].Vals[0].AsInt() != int64(i)) {
+			t.Errorf("removed member's result %d changed: %v", i, a[i].Vals)
+		}
+	}
+	if len(e.shapes) != 1 {
+		t.Errorf("%d canonical projections with one member left, want 1", len(e.shapes))
+	}
+	if err := e.RemoveQuery(qb.ID); err != nil {
+		t.Fatal(err)
+	}
+	if len(e.shapes) != 0 {
+		t.Errorf("%d canonical projections with no members, want 0", len(e.shapes))
+	}
+}
+
+// TestSharedProjectionRecycledInput delivers one completion pointer twice
+// with different contents — what a pool-recycled wide tuple looks like —
+// and requires a fresh projection each time, never the earlier result.
+func TestSharedProjectionRecycledInput(t *testing.T) {
+	e, _ := New(stockLayout(), nil, nil)
+	var a, b []*tuple.Tuple
+	qa, _ := e.AddQuery(tuple.SingleSource(0), nil, []int{1}, collect(&a))
+	qb, _ := e.AddQuery(tuple.SingleSource(0), nil, []int{1}, collect(&b))
+	wide := mk(0, 1)
+	wide.Source = tuple.SingleSource(0)
+	for round := int64(1); round <= 3; round++ {
+		wide.Vals[1] = tuple.Int(round)
+		wide.Queries = tuple.NewBitset(qb.ID + 1)
+		wide.Queries.Set(qa.ID)
+		wide.Queries.Set(qb.ID)
+		e.deliver(wide)
+	}
+	if len(a) != 3 || len(b) != 3 {
+		t.Fatalf("delivered %d and %d, want 3 each", len(a), len(b))
+	}
+	for i := range a {
+		if got := a[i].Vals[0].AsInt(); got != int64(i+1) {
+			t.Errorf("completion %d projected %d, want %d", i, got, i+1)
+		}
+		if a[i] != b[i] {
+			t.Errorf("completion %d: members got distinct tuples", i)
+		}
+		if i > 0 && a[i] == a[i-1] {
+			t.Errorf("completion %d reused the previous completion's projection", i)
+		}
+	}
+}

@@ -59,7 +59,7 @@ type Parallel struct {
 	// deliverMu guards the front engine's delivery state (byFootprint,
 	// per-query delivered counters) between the merge goroutine and
 	// control-plane calls. Never held across a Barrier — the merge stage
-	// must stay free to drain while a barrier waits for the queues.
+	// must stay free to drain while a barrier waits for it.
 	deliverMu sync.Mutex
 
 	// ctlMu serializes the driver hot path (Ingest/Flush, read-locked)
@@ -106,10 +106,8 @@ func NewParallelEngine(layout *tuple.Layout, joins []JoinSpec, opt ParallelOptio
 			return New(layout, joins, pol(shard))
 		}
 		c := *cfg
-		// Slot reuse is unsound here: outputs already handed to the merge
-		// stage keep flowing through a Barrier, so a tuple carrying a
-		// freed slot's bit can still be in flight when the slot is
-		// reallocated. Monotone IDs also keep front/shard lockstep.
+		// Slot reuse stays off: monotone IDs keep the front and shard
+		// engines in lockstep without coordinating their free lists.
 		c.ReuseSlots = false
 		return NewArranged(layout, joins, pol(shard), c)
 	}
@@ -203,11 +201,11 @@ func (p *Parallel) Flush() {
 // in lockstep — all engines allocate IDs sequentially, so the same
 // mutation order yields the same ID everywhere, which is what lets a
 // lineage bit set on a shard mean the same query at the merge. The change
-// happens under a shard barrier (atomic with respect to in-flight tuples);
-// the front registers first, so a tuple completing concurrently simply
-// finds the new bit absent from its lineage and skips the query. Shards
-// register footprint and selections only: projection and output belong to
-// the front's delivery stage.
+// happens under a pipeline barrier, after the merge stage has delivered
+// every result of the tuples ingested before the call, so the query sees
+// exactly the tuples ingested after it. Shards register footprint and
+// selections only: projection and output belong to the front's delivery
+// stage.
 func (p *Parallel) AddQuery(footprint tuple.SourceSet, selections []expr.Predicate,
 	project []int, out func(*tuple.Tuple)) (*Query, error) {
 	p.ctlMu.Lock()
@@ -241,7 +239,9 @@ func (p *Parallel) AddQuery(footprint tuple.SourceSet, selections []expr.Predica
 	return q, nil
 }
 
-// RemoveQuery unregisters a standing query from the front and every shard.
+// RemoveQuery unregisters a standing query from the front and every shard,
+// under the same barrier as AddQuery: the query still receives every
+// result of the tuples ingested before the call.
 func (p *Parallel) RemoveQuery(id int) error {
 	p.ctlMu.Lock()
 	defer p.ctlMu.Unlock()

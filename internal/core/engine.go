@@ -32,6 +32,7 @@ import (
 	"telegraphcq/internal/ingress"
 	"telegraphcq/internal/introspect"
 	"telegraphcq/internal/metrics"
+	"telegraphcq/internal/ring"
 	"telegraphcq/internal/sql"
 	"telegraphcq/internal/storage"
 	"telegraphcq/internal/tuple"
@@ -153,10 +154,10 @@ type streamState struct {
 	// subs is keyed by subscription id: one query may subscribe to the
 	// same stream at several FROM positions (self-joins, paper Ex. 4).
 	subs map[int]*fjord.Conn
-	// history retains all tuples in memory when spooling is off, so
-	// late-registered queries can still see old data (PSoup semantics).
-	history []*tuple.Tuple
-	histCap int
+	// history retains the newest tuples in memory when spooling is off,
+	// so late-registered queries can still see recent data (PSoup
+	// semantics); once full, each new tuple displaces the oldest.
+	history *ring.Ring[*tuple.Tuple]
 	// fed counts tuples delivered into this stream (ingress feed rate).
 	fed *metrics.Counter
 }
@@ -330,13 +331,14 @@ func (e *Engine) CreateTable(name string, schema *tuple.Schema) error {
 }
 
 func (e *Engine) addStreamState(entry *catalog.Entry, system bool) error {
+	histCap := 1 << 20
+	if system {
+		histCap = 1 << 13
+	}
 	st := &streamState{
 		entry:   entry,
 		subs:    make(map[int]*fjord.Conn),
-		histCap: 1 << 20,
-	}
-	if system {
-		st.histCap = 1 << 13
+		history: ring.New[*tuple.Tuple](histCap),
 	}
 	if e.opts.SpoolDir != "" && !system {
 		store, err := storage.NewSegmentStore(e.opts.SpoolDir, entry.Name, e.opts.SegmentSize, e.pool)
@@ -425,8 +427,8 @@ func (e *Engine) feedMany(stream string, ts []*tuple.Tuple, shed bool) error {
 				st.mu.Unlock()
 				return err
 			}
-		} else if len(st.history) < st.histCap {
-			st.history = append(st.history, t)
+		} else {
+			st.history.Push(t)
 		}
 	}
 	subs := make([]*fjord.Conn, 0, len(st.subs))
@@ -547,8 +549,8 @@ func (st *streamState) historyRange(left, right int64) ([]*tuple.Tuple, error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	var out []*tuple.Tuple
-	for _, t := range st.history {
-		if t.TS >= left && t.TS <= right {
+	for i := 0; i < st.history.Len(); i++ {
+		if t := *st.history.At(i); t.TS >= left && t.TS <= right {
 			out = append(out, t)
 		}
 	}

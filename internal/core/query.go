@@ -55,7 +55,9 @@ type RunningQuery struct {
 	// metricNames lists every registry series this query registered, so
 	// teardown can unregister by exact name instead of scanning the whole
 	// registry — O(own series), not O(all series), which matters when
-	// thousands of queries deregister at once.
+	// thousands of queries deregister at once. metricMu guards it: a
+	// finishing windowed DU and Engine.Stop may both tear down.
+	metricMu    sync.Mutex
 	metricNames []string
 
 	results   atomic.Int64
@@ -357,17 +359,23 @@ type queryMetrics struct{ q *RunningQuery }
 
 // RegisterFunc forwards to the engine registry and records the name.
 func (m queryMetrics) RegisterFunc(name string, kind metrics.Kind, fn func() float64) {
+	m.q.metricMu.Lock()
 	m.q.metricNames = append(m.q.metricNames, name)
+	m.q.metricMu.Unlock()
 	m.q.engine.reg.RegisterFunc(name, kind, fn)
 }
 
 // unregisterMetrics drops every series this query registered, by exact
-// name.
+// name. It is idempotent: only the first of concurrent callers finds the
+// names.
 func (q *RunningQuery) unregisterMetrics() {
-	for _, name := range q.metricNames {
+	q.metricMu.Lock()
+	names := q.metricNames
+	q.metricNames = nil
+	q.metricMu.Unlock()
+	for _, name := range names {
 		q.engine.reg.Unregister(name)
 	}
-	q.metricNames = nil
 }
 
 // RegisterPlan schedules a bound plan as a standing query.

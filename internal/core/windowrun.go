@@ -213,6 +213,17 @@ func (rt *windowRuntime) canFire(inst window.Instance) bool {
 	return true
 }
 
+// newestTime returns the newest window time seen on any windowed input.
+func (rt *windowRuntime) newestTime() int64 {
+	var newest int64 = -1 << 62
+	for pos, wi := range rt.winFor {
+		if wi >= 0 && rt.maxTime[pos] > newest {
+			newest = rt.maxTime[pos]
+		}
+	}
+	return newest
+}
+
 func (rt *windowRuntime) allClosed() bool {
 	for pos, wi := range rt.winFor {
 		if wi >= 0 && !rt.drainer.closed[pos] {
@@ -231,16 +242,15 @@ func (rt *windowRuntime) step() (bool, bool) {
 	if rt.loop.Step > 0 {
 		// Forward loop: fire instances whose windows have filled.
 		for rt.loop.Cond.Holds(rt.nextT) {
+			if rt.allClosed() && rt.nextT > rt.newestTime() {
+				// The inputs have ended and the loop has passed the
+				// newest time any of them reached: no later instance
+				// can see new data, and an unbounded loop would
+				// otherwise fire empty instances forever.
+				break
+			}
 			inst := rt.loop.At(rt.nextT)
 			if !rt.canFire(inst) {
-				if rt.allClosed() {
-					// Inputs ended before the window filled: fire the
-					// remaining instances over what arrived, then stop.
-					rt.fire(inst)
-					rt.nextT += rt.loop.Step
-					progressed = true
-					continue
-				}
 				return progressed, false
 			}
 			rt.fire(inst)

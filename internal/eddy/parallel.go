@@ -95,6 +95,9 @@ type parMsg struct {
 	// next output can only be triggered by a key > g.
 	g    int64
 	sent []int64
+	// synced, on a driver mark, is closed by the merge stage once every
+	// output of the inputs counted in sent has been delivered.
+	synced chan struct{}
 }
 
 // ParallelEddy executes one logical eddy as hash-partitioned worker
@@ -292,21 +295,26 @@ func (pe *ParallelEddy) Close() {
 	<-pe.mergeDone
 }
 
-// Barrier quiesces the shards — drains every input queue, then locks out
-// the workers — and runs fn once per shard. Use it to mutate shard state
-// (add or remove standing queries) or snapshot shard statistics without
-// racing the workers. The driver is locked out for the duration; outputs
-// already handed to the merge stage keep flowing.
+// Barrier quiesces the whole pipeline and runs fn once per shard: it
+// hands every buffered input to its worker, waits until the merge stage
+// has delivered every output of every input ingested so far, then locks
+// out the workers. Use it to mutate shard state (add or remove standing
+// queries) or snapshot shard statistics without racing the workers; a
+// change made in fn therefore applies to exactly the inputs ingested
+// after the Barrier. The driver is locked out for the duration. The
+// Merge callback must not call Barrier.
 func (pe *ParallelEddy) Barrier(fn func(shard int, s Shard)) {
 	pe.ingestMu.Lock()
 	defer pe.ingestMu.Unlock()
-	if !pe.closed {
+	if pe.closed {
+		<-pe.mergeDone
+	} else {
 		pe.flushAll()
+		synced := make(chan struct{})
+		pe.mergeCh <- parMsg{shard: -1, g: pe.g, sent: append([]int64(nil), pe.sent...), synced: synced}
+		<-synced
 	}
-	for i := range pe.conns {
-		for pe.conns[i].Q.Len() > 0 {
-			runtime.Gosched()
-		}
+	for i := range pe.shardMu {
 		pe.shardMu[i].Lock()
 	}
 	for i, s := range pe.shards {
@@ -401,38 +409,64 @@ func (pe *ParallelEddy) mergeLoop() {
 			}
 		}
 	}
+	// synced is the pending Barrier's wake-up: closed once every shard
+	// has reported all the inputs the driver had sent it.
+	var synced chan struct{}
 	for msg := range pe.mergeCh {
 		if msg.shard < 0 {
 			if msg.g > g {
 				g = msg.g
 			}
 			copy(sent, msg.sent)
-			release(false)
-			continue
+			if msg.synced != nil {
+				synced = msg.synced
+			}
+		} else {
+			done[msg.shard] = msg.done
 		}
-		if !ordered {
+		switch {
+		case msg.shard < 0:
+			release(false)
+		case !ordered:
 			for _, it := range msg.items {
 				pe.merged.Add(1)
 				if pe.cfg.Merge != nil {
 					pe.cfg.Merge(it.t)
 				}
 			}
-			continue
+		default:
+			for _, it := range msg.items {
+				ord++
+				heap.push(heapItem{mergeItem: it, ord: ord})
+			}
+			if int64(heap.Len()) > pe.maxHeld.Load() {
+				pe.maxHeld.Store(int64(heap.Len()))
+			}
+			if msg.procMax > procMax[msg.shard] {
+				procMax[msg.shard] = msg.procMax
+			}
+			release(false)
 		}
-		for _, it := range msg.items {
-			ord++
-			heap.push(heapItem{mergeItem: it, ord: ord})
+		if synced != nil && caughtUp(done, sent) {
+			// Every output of the inputs sent so far has reached the
+			// merge; in ordered mode each shard's watermark is now at
+			// least the driver's, so release(false) above emptied the
+			// buffer too.
+			close(synced)
+			synced = nil
 		}
-		if int64(heap.Len()) > pe.maxHeld.Load() {
-			pe.maxHeld.Store(int64(heap.Len()))
-		}
-		done[msg.shard] = msg.done
-		if msg.procMax > procMax[msg.shard] {
-			procMax[msg.shard] = msg.procMax
-		}
-		release(false)
 	}
 	release(true)
+}
+
+// caughtUp reports whether every shard has processed all inputs sent to it.
+func caughtUp(done, sent []int64) bool {
+	for i := range sent {
+		if done[i] < sent[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // ParallelStats snapshots a ParallelEddy's activity.

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"sync"
 
+	"telegraphcq/internal/ring"
 	"telegraphcq/internal/tuple"
 )
 
@@ -122,12 +123,13 @@ type pullEntry struct {
 }
 
 // PullEgress logs results in arrival order; disconnected clients fetch
-// everything since their cursor when they return.
+// everything since their cursor when they return. The log is a
+// fixed-capacity ring: once retention is full, each publish overwrites the
+// oldest entry in O(1).
 type PullEgress struct {
 	mu      sync.Mutex
-	log     []pullEntry
-	cap     int
-	base    int64 // absolute index of log[0]
+	log     *ring.Ring[pullEntry]
+	base    int64 // absolute index of the oldest retained entry
 	cursors map[int]int64
 	nextID  int
 	pool    *tuple.Pool // recycles owned entries aging out; nil disables
@@ -145,7 +147,7 @@ func NewPullEgress(capTuples int) *PullEgress {
 	if capTuples < 1 {
 		capTuples = 1 << 16
 	}
-	return &PullEgress{cap: capTuples, cursors: make(map[int]int64)}
+	return &PullEgress{log: ring.New[pullEntry](capTuples), cursors: make(map[int]int64)}
 }
 
 // SetRecycler installs the pool that owned results return to when they age
@@ -164,8 +166,7 @@ func (e *PullEgress) Publish(t *tuple.Tuple) { e.PublishOwned(t, false) }
 func (e *PullEgress) PublishOwned(t *tuple.Tuple, owned bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.log = append(e.log, pullEntry{t: t, owned: owned && e.pool != nil})
-	e.evictOverLocked()
+	e.pushLocked(pullEntry{t: t, owned: owned && e.pool != nil})
 }
 
 // PublishBatch appends a batch of results under one lock acquisition.
@@ -174,9 +175,8 @@ func (e *PullEgress) PublishBatch(ts []*tuple.Tuple, owned bool) {
 	defer e.mu.Unlock()
 	owned = owned && e.pool != nil
 	for _, t := range ts {
-		e.log = append(e.log, pullEntry{t: t, owned: owned})
+		e.pushLocked(pullEntry{t: t, owned: owned})
 	}
-	e.evictOverLocked()
 }
 
 // PublishBlock appends every row of a columnar result block under one
@@ -203,40 +203,32 @@ func (e *PullEgress) PublishBlock(b *tuple.Block, owned bool) {
 		e.blockRows[b] = int32(n)
 	}
 	for i := 0; i < n; i++ {
-		e.log = append(e.log, pullEntry{blk: b, row: int32(i), owned: owned})
+		e.pushLocked(pullEntry{blk: b, row: int32(i), owned: owned})
 	}
-	e.evictOverLocked()
 }
 
-func (e *PullEgress) evictOverLocked() {
-	over := len(e.log) - e.cap
-	if over <= 0 {
+// pushLocked appends one entry, releasing whatever the egress owned in the
+// entry it displaces when retention is full.
+func (e *PullEgress) pushLocked(ent pullEntry) {
+	old, evicted := e.log.Push(ent)
+	if !evicted {
 		return
 	}
-	for i := 0; i < over; i++ {
-		ent := e.log[i]
-		switch {
-		case ent.blk != nil:
-			if ent.owned {
-				if left := e.blockRows[ent.blk] - 1; left > 0 {
-					//lint:ignore alloccheck refcount decrement on an existing key: no bucket growth in steady state
-					e.blockRows[ent.blk] = left
-				} else {
-					delete(e.blockRows, ent.blk)
-					ent.blk.Release()
-				}
+	e.base++
+	switch {
+	case old.blk != nil:
+		if old.owned {
+			if left := e.blockRows[old.blk] - 1; left > 0 {
+				//lint:ignore alloccheck refcount decrement on an existing key: no bucket growth in steady state
+				e.blockRows[old.blk] = left
+			} else {
+				delete(e.blockRows, old.blk)
+				old.blk.Release()
 			}
-		case ent.owned:
-			e.pool.Put(ent.t)
 		}
-		e.log[i] = pullEntry{}
+	case old.owned:
+		e.pool.Put(old.t)
 	}
-	n := copy(e.log, e.log[over:])
-	for i := n; i < len(e.log); i++ {
-		e.log[i] = pullEntry{}
-	}
-	e.log = e.log[:n]
-	e.base += int64(over)
 }
 
 // Register creates a client cursor positioned at the current log end
@@ -247,7 +239,7 @@ func (e *PullEgress) Register() int {
 	defer e.mu.Unlock()
 	id := e.nextID
 	e.nextID++
-	e.cursors[id] = e.base + int64(len(e.log))
+	e.cursors[id] = e.base + int64(e.log.Len())
 	return id
 }
 
@@ -279,22 +271,24 @@ func (e *PullEgress) Fetch(id int) (results []*tuple.Tuple, missed int64, err er
 		missed = e.base - cur
 		cur = e.base
 	}
+	n := e.log.Len()
 	start := int(cur - e.base)
-	results = make([]*tuple.Tuple, 0, len(e.log)-start)
-	for i := start; i < len(e.log); i++ {
-		if b := e.log[i].blk; b != nil {
+	results = make([]*tuple.Tuple, 0, n-start)
+	for i := start; i < n; i++ {
+		ent := e.log.At(i)
+		if b := ent.blk; b != nil {
 			// Columnar rows materialize on fetch as independent copies;
 			// the block itself stays owned by the egress (it may back
 			// other unfetched rows) and is released on age-out as usual.
-			results = append(results, b.Row(int(e.log[i].row)))
+			results = append(results, b.Row(int(ent.row)))
 			continue
 		}
 		// The client holds the pointer from here on: the egress no longer
 		// owns the tuple's memory.
-		e.log[i].owned = false
-		results = append(results, e.log[i].t)
+		ent.owned = false
+		results = append(results, ent.t)
 	}
-	e.cursors[id] = e.base + int64(len(e.log))
+	e.cursors[id] = e.base + int64(n)
 	return results, missed, nil
 }
 
@@ -309,5 +303,5 @@ func (e *PullEgress) Deregister(id int) {
 func (e *PullEgress) Len() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return len(e.log)
+	return e.log.Len()
 }

@@ -169,7 +169,12 @@ func (eo *ExecutionObject) waitForWork() {
 
 func (eo *ExecutionObject) stop() {
 	close(eo.quit)
+	// Broadcast under the lock: waitForWork checks quit and enters Wait
+	// while holding it, so the wakeup cannot fall between the two and be
+	// lost (its 1ms timer signal can be lost the same way).
+	eo.mu.Lock()
 	eo.cond.Broadcast()
+	eo.mu.Unlock()
 	<-eo.done
 }
 
